@@ -68,14 +68,18 @@ bench-alloc:
 	$(GO) test -run TestAllocBudget -benchtime 100x -benchmem \
 		-bench 'BenchmarkSwitchProcess$$|BenchmarkEmitterRoundTrip$$|BenchmarkKeytabSteadyState$$' .
 
-# Quick perf regression probe: the four hot-path benchmarks, sequential vs
+# Quick perf regression probe: the hot-path benchmarks, sequential vs
 # sharded, at a fixed iteration count, swept at -cpu 1 (pure sharding
 # overhead: one worker, no parallelism) and -cpu 4 (the parallel win when the
-# runner has the cores). The trailing awk pass distills the headline into a
-# named metric per cpu count — `sharded_vs_sequential_sp_tuples_ratio` — so
-# the uploaded CI artifact carries the ratio without anyone re-deriving it
-# from raw benchmark lines. Non-gating in `make check` (perf noise must not
-# fail CI); run it by hand and compare against BENCH_pr10.json.
+# runner has the cores). The end-to-end pattern also selects the
+# flight-recorder (on/off) and tracer twins. The trailing awk pass distills
+# two headlines into named metrics per cpu count —
+# `sharded_vs_sequential_sp_tuples_ratio`, and
+# `flightrec_on_vs_off_ns_ratio`, the recorder's tax on the ingest path
+# (`cmd/sonata` always attaches it) — so the uploaded CI artifact carries
+# both without anyone re-deriving them from raw benchmark lines.
+# Non-gating in `make check` (perf noise must not fail CI); run it by hand
+# and compare against the BENCH_pr*.json files.
 bench-smoke:
 	@rm -f bench-smoke.raw
 	@for n in 1 4; do \
@@ -83,11 +87,14 @@ bench-smoke:
 			-bench 'BenchmarkEndToEndWindow|BenchmarkFig7bMultiQuery|BenchmarkEmitterRoundTrip|BenchmarkSwitchProcess' . \
 			| tee -a bench-smoke.raw || exit 1; \
 	done
-	@awk '/^BenchmarkEndToEndWindow\/(sequential|sharded)/ { \
+	@awk '/^BenchmarkEndToEndWindow(FlightRec)?\/(sequential|sharded|on|off)/ { \
 		cpu = $$1; sub(/^[^ ]*-/, "", cpu); if (cpu !~ /^[0-9]+$$/) cpu = 1; \
 		v = 0; for (i = 1; i <= NF; i++) if ($$i == "sp_tuples/s") v = $$(i-1); \
-		if ($$1 ~ /sequential/) seq[cpu] = v; else sh[cpu] = v } \
+		if ($$1 ~ /\/sequential/) seq[cpu] = v; else if ($$1 ~ /\/sharded/) sh[cpu] = v; \
+		else if ($$1 ~ /\/on/) on[cpu] = $$3; else off[cpu] = $$3 } \
 		END { for (c in sh) if (seq[c] > 0) \
-			printf "sharded_vs_sequential_sp_tuples_ratio cpu=%s %.3f\n", c, sh[c] / seq[c] }' \
+			printf "sharded_vs_sequential_sp_tuples_ratio cpu=%s %.3f\n", c, sh[c] / seq[c]; \
+		for (c in on) if (off[c] > 0) \
+			printf "flightrec_on_vs_off_ns_ratio cpu=%s %.3f\n", c, on[c] / off[c] }' \
 		bench-smoke.raw
 	@rm -f bench-smoke.raw

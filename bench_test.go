@@ -547,10 +547,13 @@ func BenchmarkSubscribeFanOut(b *testing.B) {
 }
 
 // BenchmarkEndToEndWindowFlightRec measures the flight recorder's overhead
-// on the ingest hot path: the identical sequential window replay with the
-// recorder detached ("off") and attached ("on"). The per-packet cost of the
-// recorder is a handful of plain uint64 increments, so on/off ns/op should
-// stay within a couple of percent (BENCH_pr3.json records the measurement).
+// on the ingest hot path: the identical one-worker window replay with the
+// recorder detached ("off") and attached ("on"). Probed instances take the
+// same prescreened batch walk as unprobed ones, but their leading filters
+// run in table order so each table's popcount is its exact entering count:
+// a leading dynamic filter then probes every runnable frame instead of only
+// those the static clauses passed. That is most of the remaining tax;
+// `make bench-smoke` prints on/off ns/op as flightrec_on_vs_off_ns_ratio.
 func BenchmarkEndToEndWindowFlightRec(b *testing.B) {
 	w := benchWorkload(b)
 	params := eval.ScaledParams(benchScale())

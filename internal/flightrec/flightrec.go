@@ -198,6 +198,15 @@ func (p *Probe) OpSwitch(stage int) {
 	}
 }
 
+// OpSwitchN counts n packets entering the given stage in the data plane at
+// once — the batch form of OpSwitch, fed by the switch's prescreen with the
+// popcount of the frames still selected when they reach the stage.
+func (p *Probe) OpSwitchN(stage int, n uint64) {
+	if p != nil {
+		p.opInSw[stage] += n
+	}
+}
+
 // OpSP adds one stage's stream-processor entering/emission counts (the
 // engine flushes its per-op counters here at window end).
 func (p *Probe) OpSP(stage int, in, out uint64) {

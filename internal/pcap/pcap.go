@@ -26,6 +26,13 @@ const (
 
 	globalHeaderLen = 24
 	recordHeaderLen = 16
+
+	// MaxSnapLen is libpcap's largest snap length. Next rejects any record
+	// claiming more captured bytes than min(SnapLen, MaxSnapLen) — or than
+	// MaxSnapLen when the header's snap length is 0 — before allocating,
+	// so a hostile length field cannot make the reader allocate more than
+	// this per record.
+	MaxSnapLen = 262144
 )
 
 // Header is the global file header.
@@ -135,9 +142,10 @@ func NewReader(r io.Reader) (*Reader, error) {
 // Header returns the parsed global header.
 func (r *Reader) Header() Header { return r.hdr }
 
-// Next reads the next record. It returns io.EOF cleanly at end of file and
-// io.ErrUnexpectedEOF on a truncated record. The returned Data is freshly
-// allocated and safe to retain.
+// Next reads the next record. It returns io.EOF cleanly at end of file,
+// io.ErrUnexpectedEOF on a truncated record, and an error for a capture
+// length beyond the snap-length bound (see MaxSnapLen). The returned Data
+// is freshly allocated and safe to retain.
 func (r *Reader) Next() (Record, error) {
 	var hdr [recordHeaderLen]byte
 	if _, err := io.ReadFull(r.r, hdr[:]); err != nil {
@@ -150,8 +158,12 @@ func (r *Reader) Next() (Record, error) {
 	frac := r.order.Uint32(hdr[4:8])
 	capLen := r.order.Uint32(hdr[8:12])
 	origLen := r.order.Uint32(hdr[12:16])
-	if r.hdr.SnapLen > 0 && capLen > r.hdr.SnapLen+65536 {
-		return Record{}, fmt.Errorf("pcap: implausible capture length %d", capLen)
+	limit := uint32(MaxSnapLen)
+	if r.hdr.SnapLen > 0 && r.hdr.SnapLen < limit {
+		limit = r.hdr.SnapLen
+	}
+	if capLen > limit {
+		return Record{}, fmt.Errorf("pcap: capture length %d exceeds snap length bound %d", capLen, limit)
 	}
 	data := make([]byte, capLen)
 	if _, err := io.ReadFull(r.r, data); err != nil {

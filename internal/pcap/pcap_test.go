@@ -3,6 +3,7 @@ package pcap
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"io"
 	"testing"
 	"time"
@@ -153,4 +154,87 @@ func TestEmptyFileIsCleanEOF(t *testing.T) {
 	if _, err := r.Next(); err != io.EOF {
 		t.Errorf("want io.EOF on empty capture, got %v", err)
 	}
+}
+
+// oversizedCapLen is a 48-byte capture whose single record claims 1.45 GB
+// of captured data under a 1.4 GB snap length: a reader that trusts the
+// length fields allocates the claimed size before discovering the file is
+// truncated.
+var oversizedCapLen = []byte{
+	0xd4, 0xc3, 0xb2, 0xa1, 0x02, 0x00, 0x04, 0x00, // LE microsecond magic, v2.4
+	0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, // thiszone, sigfigs
+	0x00, 0x00, 0x00, 0x58, 0x01, 0x00, 0x00, 0x00, // snaplen 0x58000000, Ethernet
+	0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, // ts
+	0x56, 0x56, 0x56, 0x56, 0x56, 0x56, 0x56, 0x56, // caplen, origlen 0x56565656
+	0x00, 0x01, 0x02, 0x03, 0x04, 0x05, 0x06, 0x07,
+}
+
+func TestOversizedCapLenRejected(t *testing.T) {
+	r, err := NewReader(bytes.NewReader(oversizedCapLen))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := r.Next(); err == nil || errors.Is(err, io.ErrUnexpectedEOF) {
+		t.Fatalf("caplen 0x56565656 under snaplen 0x58000000: got %v, want a length error", err)
+	}
+}
+
+// TestCapLenBound pins the bound at min(snaplen, MaxSnapLen), with
+// MaxSnapLen also applying when the header's snap length is 0.
+func TestCapLenBound(t *testing.T) {
+	for _, tc := range []struct {
+		snapLen, capLen uint32
+		ok              bool
+	}{
+		{0, MaxSnapLen, true},
+		{0, MaxSnapLen + 1, false},
+		{64, 64, true},
+		{64, 65, false},
+		{1 << 30, MaxSnapLen, true},
+		{1 << 30, MaxSnapLen + 1, false},
+	} {
+		var buf bytes.Buffer
+		hdr := make([]byte, globalHeaderLen+recordHeaderLen)
+		binary.LittleEndian.PutUint32(hdr[0:4], MagicMicroseconds)
+		binary.LittleEndian.PutUint32(hdr[16:20], tc.snapLen)
+		binary.LittleEndian.PutUint32(hdr[globalHeaderLen+8:], tc.capLen)
+		buf.Write(hdr)
+		buf.Write(make([]byte, tc.capLen))
+		r, err := NewReader(&buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec, err := r.Next()
+		if tc.ok && (err != nil || len(rec.Data) != int(tc.capLen)) {
+			t.Errorf("snaplen %d caplen %d: got %d bytes, %v", tc.snapLen, tc.capLen, len(rec.Data), err)
+		}
+		if !tc.ok && err == nil {
+			t.Errorf("snaplen %d caplen %d accepted", tc.snapLen, tc.capLen)
+		}
+	}
+}
+
+// FuzzReader feeds arbitrary bytes to the reader: it must return errors,
+// never panic, and never hand back a record beyond the snap-length bound.
+// The seed corpus under testdata/fuzz/FuzzReader replays as part of go test.
+func FuzzReader(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		r, err := NewReader(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		limit := r.Header().SnapLen
+		if limit == 0 || limit > MaxSnapLen {
+			limit = MaxSnapLen
+		}
+		for {
+			rec, err := r.Next()
+			if err != nil {
+				return
+			}
+			if uint32(len(rec.Data)) > limit {
+				t.Fatalf("record of %d bytes past bound %d", len(rec.Data), limit)
+			}
+		}
+	})
 }

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math/bits"
+	"sort"
 	"sync/atomic"
 
 	"repro/internal/compile"
@@ -66,8 +67,8 @@ type WindowStats struct {
 // Merge folds another shard's stats into s. The merge is associative and
 // commutative (plain addition per column), which is what makes the sharded
 // pipeline's window close order-independent. Note that shards driven via
-// ProcessView report PacketsIn = 0 — the parse side owns that count, since
-// every shard sees every frame.
+// ProcessViews or ProcessViewsPre report PacketsIn = 0 — the parse side owns
+// that count, since every shard sees every frame.
 func (s *WindowStats) Merge(o WindowStats) {
 	s.PacketsIn += o.PacketsIn
 	s.Mirrored += o.Mirrored
@@ -114,15 +115,24 @@ type instState struct {
 	fr      *flightrec.Probe
 	frStage []int
 	frBase  int
-	// screenTables is the number of leading packet-phase filter tables
-	// (static and dynamic) covered by the batch prescreen. screenAtoms
-	// indexes the shared static-clause bitmaps whose AND gates this
-	// instance's entry; screenDyn lists the leading dynamic filter tables,
-	// applied per batch against one rule-set snapshot. Zero when the
-	// instance's first table is not a filter (prescreen not applicable).
-	screenTables int
-	screenAtoms  []int
-	screenDyn    []int
+	// screen holds one step per leading packet-phase filter table (static
+	// and dynamic) covered by the batch prescreen, in the order orderScreen
+	// chooses; the screened tables are the first len(screen). Empty when
+	// the instance's first table is not a filter (prescreen not
+	// applicable).
+	screen []screenStep
+}
+
+// screenStep is one leading filter table as the batch prescreen applies it:
+// a static filter ANDs the shared bitmaps of its clause atoms, a dynamic
+// filter probes its rule-set snapshot for every frame still selected. keep
+// is the truncation of a numeric dynamic key as an AND mask, so the probe
+// skips TruncateU64's per-call field lookup.
+type screenStep struct {
+	table int
+	dyn   bool
+	atoms []int
+	keep  uint64
 }
 
 // nextVals returns an n-wide tuple buffer from the instance's ping-pong
@@ -202,8 +212,8 @@ type Switch struct {
 	// Dynamic filters in the leading run are screened per instance: one
 	// rule-set snapshot per batch, probed only for frames still selected.
 	// screenActive reports whether any of this switch's instances has a
-	// screenable prefix; the masks' runnable bitmap seeds the combined mask
-	// when an instance's prefix has dynamic filters but no static clauses.
+	// screenable prefix; the masks' runnable bitmap seeds every combined
+	// mask.
 	pre          *Prescreen
 	ownMasks     PrescreenMasks
 	screenComb   []uint64
@@ -266,29 +276,50 @@ func NewSwitchShared(cfg Config, prog *Program, mirror func(Mirror), ps *Prescre
 	sw.pre = ps
 	for _, st := range sw.insts {
 		spec := st.spec
-		t := 0
 	scan:
-		for t < spec.CutAt {
+		for t := 0; t < spec.CutAt; t++ {
+			step := screenStep{table: t}
 			switch spec.Tables[t].Kind {
 			case compile.TableFilter:
 				o := &spec.Ops[spec.Tables[t].OpIdx]
 				for _, cl := range o.Clauses {
-					st.screenAtoms = append(st.screenAtoms, ps.intern(cl))
+					step.atoms = append(step.atoms, ps.intern(cl))
 				}
 			case compile.TableDynFilter:
-				st.screenDyn = append(st.screenDyn, t)
+				step.dyn = true
+				o := &spec.Ops[spec.Tables[t].OpIdx]
+				if info := fields.Lookup(o.DynKeyField); info.Kind == fields.Numeric && info.Hierarchical {
+					step.keep = fields.TruncateU64(o.DynKeyField, ^uint64(0), o.DynLevel)
+				}
 			default:
 				break scan
 			}
-			t++
+			st.screen = append(st.screen, step)
 		}
-		st.screenTables = t
-		if t > 0 {
+		st.orderScreen()
+		if len(st.screen) > 0 {
 			sw.screenActive = true
 			ps.active = true
 		}
 	}
 	return sw, nil
+}
+
+// orderScreen sets the order the batch prescreen applies the instance's
+// leading tables in. With a probe attached it is table order, so the
+// popcount taken as the selection reaches each table is exactly that
+// table's entering count. Without one the static filters go first: ANDing
+// their bitmaps costs next to nothing, and the dynamic filters then probe
+// only the frames every static clause passed. Both orders select the same
+// frames.
+func (st *instState) orderScreen() {
+	sort.SliceStable(st.screen, func(i, j int) bool {
+		a, b := &st.screen[i], &st.screen[j]
+		if st.fr == nil && a.dyn != b.dyn {
+			return !a.dyn
+		}
+		return a.table < b.table
+	})
 }
 
 // Config returns the switch's resource configuration.
@@ -343,14 +374,14 @@ func (sw *Switch) AttachFlightRec(lookup func(qid uint16, level uint8) *flightre
 	for _, st := range sw.insts {
 		spec := st.spec
 		st.fr, st.frStage, st.frBase = nil, nil, 0
-		if lookup == nil {
-			continue
+		if lookup != nil {
+			st.fr = lookup(spec.QID, spec.Level)
 		}
-		p := lookup(spec.QID, spec.Level)
+		st.orderScreen()
+		p := st.fr
 		if p == nil {
 			continue
 		}
-		st.fr = p
 		if spec.Side == SideRight {
 			st.frBase = p.RightBase()
 		}
@@ -397,25 +428,6 @@ func (sw *Switch) Process(frame []byte) int {
 	return reports
 }
 
-// ProcessView runs an already-parsed frame through every installed
-// instance — the sharded fan-out path, where one parse is shared by all
-// shards. It does not count PacketsIn (every shard sees every frame; the
-// parse side owns that count) and skips non-Runnable views' processing the
-// same way Process drops hard parse errors.
-func (sw *Switch) ProcessView(v *View) int {
-	if !v.Runnable {
-		return 0
-	}
-	view := packetView{pkt: &v.Pkt, frame: v.Frame, clean: v.clean}
-	reports := 0
-	for _, st := range sw.insts {
-		if sw.processInstance(st, &view, 0) {
-			reports++
-		}
-	}
-	return reports
-}
-
 // ProcessViews runs a batch of already-parsed frames through every installed
 // instance, instance-major: the outer loop walks instances, the inner one
 // frames, so one instance's tables, register banks, and dynamic rule
@@ -428,10 +440,11 @@ func (sw *Switch) ProcessView(v *View) int {
 // rejection has exactly the side effects of a scalar first-filter
 // rejection (none) — only the interleaving across instances differs, which
 // no per-instance state observes — so window results are bit-identical to
-// calling ProcessView per view. Like ProcessView it does not count
-// PacketsIn and skips non-Runnable views. Instances with a flight-recorder
-// probe attached take the unscreened walk so per-stage funnel counts keep
-// their exact per-packet semantics.
+// calling Process per frame. A flight-recorder probe is credited, at each
+// prescreened table, the popcount of the selection reaching that table —
+// exactly the frames the per-frame walk would count entering it. It does
+// not count PacketsIn (the parse side owns that count) and skips
+// non-Runnable views, the way Process drops hard parse errors.
 func (sw *Switch) ProcessViews(vs []View) int {
 	if sw.screenActive && len(vs) > 0 {
 		sw.pre.Eval(vs, &sw.ownMasks)
@@ -465,34 +478,37 @@ func (sw *Switch) processViewsScreened(vs []View, m *PrescreenMasks) int {
 		sw.screenComb = sw.screenComb[:words]
 	}
 	for _, st := range sw.insts {
-		if screened && st.screenTables > 0 && st.fr == nil {
+		if screened && len(st.screen) > 0 {
 			comb := sw.screenComb
-			if len(st.screenAtoms) > 0 {
-				copy(comb, m.atoms[st.screenAtoms[0]])
-				for _, a := range st.screenAtoms[1:] {
+			copy(comb, m.runnable)
+			idle := false
+			for i := range st.screen {
+				step := &st.screen[i]
+				if st.fr != nil && st.frStage[step.table] >= 0 {
+					st.fr.OpSwitchN(st.frStage[step.table], popcount(comb))
+				}
+				if step.dyn {
+					if !sw.applyDynScreen(st, step, vs, comb) {
+						idle = true
+						break
+					}
+					continue
+				}
+				for _, a := range step.atoms {
 					am := m.atoms[a]
 					for w := range comb {
 						comb[w] &= am[w]
 					}
 				}
-			} else {
-				copy(comb, m.runnable)
-			}
-			idle := false
-			for _, t := range st.screenDyn {
-				if !sw.applyDynScreen(st, t, vs, comb) {
-					idle = true
-					break
-				}
 			}
 			if idle {
-				continue // unpopulated dynamic filter: no frame enters
+				continue // unpopulated dynamic filter: no frame passes it
 			}
 			for w, word := range comb {
 				for b := word; b != 0; b &= b - 1 {
 					v := &vs[w<<6|bits.TrailingZeros64(b)]
 					view := packetView{pkt: &v.Pkt, frame: v.Frame, clean: v.clean}
-					if sw.processInstance(st, &view, st.screenTables) {
+					if sw.processInstance(st, &view, len(st.screen)) {
 						reports++
 					}
 				}
@@ -513,25 +529,34 @@ func (sw *Switch) processViewsScreened(vs []View, m *PrescreenMasks) int {
 	return reports
 }
 
-// applyDynScreen narrows comb to the frames whose masked key is in table
-// t's dynamic rule set, loading the copy-on-write snapshot once for the
+// popcount returns the number of set bits in a selection bitmap.
+func popcount(mask []uint64) uint64 {
+	n := 0
+	for _, w := range mask {
+		n += bits.OnesCount64(w)
+	}
+	return uint64(n)
+}
+
+// applyDynScreen narrows comb to the frames whose masked key is in the
+// step's dynamic rule set, loading the copy-on-write snapshot once for the
 // whole batch (rule updates happen between batches — at window close — so
 // one snapshot per batch observes every update a per-packet load would).
 // Returns false when the set is empty or unpublished, meaning the instance
 // is idle and the whole batch is rejected.
-func (sw *Switch) applyDynScreen(st *instState, t int, vs []View, comb []uint64) bool {
-	rp := st.dynRules[t].Load()
+func (sw *Switch) applyDynScreen(st *instState, step *screenStep, vs []View, comb []uint64) bool {
+	rp := st.dynRules[step.table].Load()
 	if rp == nil || rp.empty() {
 		return false
 	}
-	o := &st.spec.Ops[st.spec.Tables[t].OpIdx]
+	o := &st.spec.Ops[st.spec.Tables[step.table].OpIdx]
 	for w, word := range comb {
 		for b := word; b != 0; b &= b - 1 {
 			i := w<<6 | bits.TrailingZeros64(b)
 			v, ok := vs[i].Pkt.Field(o.DynKeyField)
 			if ok {
 				if !v.Str {
-					_, ok = rp.nums[fields.TruncateU64(o.DynKeyField, v.U, o.DynLevel)]
+					_, ok = rp.nums[v.U&step.keep]
 				} else {
 					st.dynScratch = stream.AppendDynKey(st.dynScratch[:0], o.DynKeyField, v, o.DynLevel)
 					_, ok = rp.strs[string(st.dynScratch)]

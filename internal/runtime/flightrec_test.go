@@ -158,6 +158,79 @@ func TestFlightRecMatchesReports(t *testing.T) {
 	}
 }
 
+// recordFunnels renders one committed window's per-op funnels — every
+// stage's In/Out plus the observed work derived from them — per (query,
+// level), in a canonical order.
+func recordFunnels(recs []flightrec.Record) string {
+	sorted := append([]flightrec.Record(nil), recs...)
+	sort.Slice(sorted, func(i, j int) bool {
+		if sorted[i].QID != sorted[j].QID {
+			return sorted[i].QID < sorted[j].QID
+		}
+		return sorted[i].Level < sorted[j].Level
+	})
+	var b strings.Builder
+	for _, r := range sorted {
+		fmt.Fprintf(&b, "q%d/%d obs=%d:", r.QID, r.Level, r.ObsWork)
+		for _, op := range r.Ops {
+			fmt.Fprintf(&b, " [%s %d>%d]", op.Label, op.In, op.Out)
+		}
+		b.WriteByte('\n')
+	}
+	return b.String()
+}
+
+// TestFlightRecFunnelsMatchScalar is the funnel differential: the batched
+// switch credits each prescreened leading table with the popcount of the
+// selection reaching it, and every committed record's per-op In/Out must
+// equal the scalar oracle's, whose switch walks frame by frame and counts
+// each packet as it enters each table. Covers all eleven queries (refined
+// levels gated by dynamic filters included) at every worker count.
+func TestFlightRecFunnelsMatchScalar(t *testing.T) {
+	scale := eval.SmallScale()
+	w, err := eval.NewWorkload(scale)
+	if err != nil {
+		t.Fatal(err)
+	}
+	qs := queries.All(eval.ScaledParams(scale))
+	tr, err := planner.Train(qs, []int{8, 16, 24}, w.TrainingFrames())
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := pisa.DefaultConfig()
+	plan, err := planner.PlanQueries(tr, qs, cfg, planner.DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	run := func(opts runtime.Options) []string {
+		rt, err := runtime.NewWithOptions(plan, cfg, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer rt.Close()
+		rec := flightrec.New(2*w.Gen.Windows(), nil)
+		rt.AttachFlightRecorder(rec)
+		funnels := make([]string, 0, w.Gen.Windows())
+		for i := 0; i < w.Gen.Windows(); i++ {
+			rt.ProcessWindow(w.Frames(i))
+			funnels = append(funnels, recordFunnels(rec.Snapshot(0).Queries))
+		}
+		return funnels
+	}
+
+	want := run(runtime.Options{Scalar: true})
+	for _, workers := range []int{0, 1, 2, 8} {
+		got := run(runtime.Options{Workers: workers})
+		for i := range want {
+			if got[i] != want[i] {
+				t.Errorf("workers=%d window %d: funnels diverge from scalar oracle\n--- batched\n%s--- oracle\n%s",
+					workers, i, got[i], want[i])
+			}
+		}
+	}
+}
+
 // TestFlightRecBusyAttribution: on a sharded runtime, busy time attributed
 // to instances must stay within each window's total shard busy time.
 func TestFlightRecBusyAttribution(t *testing.T) {

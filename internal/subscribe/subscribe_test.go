@@ -116,7 +116,9 @@ func (w *collectWriter) Write(p []byte) (int, error) {
 	return w.buf.Write(p)
 }
 
-// frames parses the accumulated stream into notify bodies.
+// frames parses the accumulated stream into notify bodies. A trailing
+// frame whose body write has not landed yet is left for the next poll: the
+// writer goroutine may be between SendRaw's header and body writes.
 func (w *collectWriter) frames(t *testing.T) [][]byte {
 	t.Helper()
 	w.mu.Lock()
@@ -132,7 +134,7 @@ func (w *collectWriter) frames(t *testing.T) [][]byte {
 			t.Fatalf("unexpected frame type %d", data[4])
 		}
 		if len(data) < 4+n {
-			t.Fatalf("partial frame body")
+			break
 		}
 		out = append(out, data[5:4+n])
 		data = data[4+n:]
